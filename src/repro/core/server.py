@@ -10,9 +10,10 @@ scheduler/network events into the core and interprets the returned effects
 pre-sans-I/O implementation.
 
 What remains here is exactly the simulation-specific machinery: durable
-checkpointing against a :class:`~repro.core.snapshot.DurableStore` (with
-optional ARQ channel-state capture) and the crash/restart choreography of
-:meth:`halt` / :meth:`on_restart`.
+commits to a :class:`~repro.core.snapshot.DurableStore` through the
+write-ahead log of :mod:`repro.core.wal` (with optional ARQ channel
+state) and the crash/restart choreography of :meth:`halt` /
+:meth:`on_restart`.
 
 ``ServerConfig`` and ``ServerStats`` are re-exported from the protocol
 package for backward compatibility.
@@ -21,6 +22,7 @@ package for backward compatibility.
 from __future__ import annotations
 
 from ..core.messages import DigestMsg, RepairRequest, RepairResponse
+from ..core.wal import DurableLog
 from ..ec.code import LinearCode
 from ..protocol.repair_core import RepairConfig, RepairCore
 from ..protocol.scrub_core import ScrubConfig, ScrubCore
@@ -109,6 +111,7 @@ class CausalECServer(EffectNode, ServerCore):
             stats.checkpoints_verified += 1
             return
         stats.checkpoints_corrupt += 1
+        self._wal.force_snapshot()
         self._persist()
         stats.checkpoints_rewritten += 1
 
@@ -116,27 +119,29 @@ class CausalECServer(EffectNode, ServerCore):
     # durability and crash-recovery
 
     def attach_durability(self, store, transport=None) -> None:
-        """Persist eagerly to ``store`` (and snapshot ARQ channel state).
+        """Commit durable state to ``store`` (and ARQ channel state).
 
-        Eager persistence -- a checkpoint after every handled message and
-        timer step -- models a synchronous write-ahead log: every state the
-        server has acknowledged to anyone is recoverable, so a restart
-        never regresses the causal past (no vector-clock rollback, no
-        forgotten writes).  Delivery and persistence happen within one
-        scheduler event, i.e. atomically with respect to crash events.
+        Every PersistEffect -- emitted after every handled message and
+        timer step -- is a commit of the write-ahead log
+        (:class:`~repro.core.wal.DurableLog`): the first writes a
+        snapshot, later ones append the changed keys.  Every state the
+        server has acknowledged to anyone is therefore recoverable, so a
+        restart never regresses the causal past (no vector-clock
+        rollback, no forgotten writes).  Delivery and commit happen within
+        one scheduler event, i.e. atomically with respect to crash events.
         """
         from .snapshot import capture_server_state  # avoid import cycle
 
         self.durable = store
         self._transport = transport
-        self._capture = capture_server_state
+        self._wal = DurableLog(store, self.node_id, capture_server_state)
         self._persist()
 
     def _persist(self) -> None:
         if self.durable is None or self.halted:
             return
-        self.stats.persists += 1
-        self.durable.persist(self._capture(self, self._transport))
+        if self._wal.commit(self, self._transport, self.scheduler.now):
+            self.stats.persists += 1
 
     def halt(self) -> None:
         """Crash: lose volatile state (when durability models it as such)."""
@@ -161,6 +166,8 @@ class CausalECServer(EffectNode, ServerCore):
 
         self.stats.restarts += 1
         if self.durable is not None:
+            # the new incarnation starts a fresh snapshot generation
+            self._wal.force_snapshot()
             checkpoint = self.durable.load(self.node_id)
             if checkpoint is not None:
                 restore_server_state(self, checkpoint, self._transport)

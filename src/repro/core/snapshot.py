@@ -13,10 +13,14 @@ The second half of the module is *durable* snapshotting for crash-recovery:
 resume (protocol state plus, when an ARQ transport is attached, its channel
 state), a :class:`DurableStore` models each server's stable storage, and
 :func:`restore_server_state` reinstalls a checkpoint into a restarted
-server.  Servers persist eagerly -- after every handled message and timer
-step -- which models a synchronous write-ahead log: anything a server ever
-acknowledged (including transport-level acks) is on disk, so recovery never
-regresses the causal past the rest of the system may have observed.
+server.  Stable storage is a snapshot plus a write-ahead log of deltas
+(:mod:`repro.core.wal`): a server commits after every handled message and
+timer step, and a commit appends only the durable keys that changed, so
+anything a server ever acknowledged (including transport-level acks) is
+recoverable at O(delta) per step, and recovery never regresses the causal
+past the rest of the system may have observed.  Full captures happen only
+when a snapshot is due: on the first commit, after a restart, and when
+the log outgrows the snapshot (compaction).
 """
 
 from __future__ import annotations
@@ -25,8 +29,10 @@ import copy
 from dataclasses import dataclass, field
 from typing import Any
 
+from . import wal
 from .server import CausalECServer
 from .tags import Tag
+from .wal import DURABLE_ATTRS
 
 __all__ = [
     "snapshot_server",
@@ -117,39 +123,19 @@ def format_snapshot(snap: dict[str, Any]) -> str:
 # ---------------------------------------------------------------------------
 # Durable checkpoints (crash-recovery)
 
-#: CausalECServer attributes that constitute recoverable protocol state.
-#: Volatile machinery (timers, stats counters, the visibility log) is
-#: deliberately excluded: timers belong to an incarnation, and stats/logs
-#: are measurement artefacts of the simulation, not protocol state.
-_DURABLE_ATTRS = (
-    "vc",
-    "inqueue",
-    "L",
-    "DelL",
-    "readl",
-    "tmax",
-    "M",
-    "_opid_seq",
-    "_del_sent_storing",
-    "_del_sent_all",
-    "_client_sessions",
-    "view",
-    # dynamic membership: the epoch a server acknowledged and the ids it
-    # knows to be retired must survive a crash-restart, or a recovered
-    # server would rejoin fenced out of (or fencing) its own group
-    "cfg_epoch",
-    "cfg_retired",
-)
-
-
 @dataclass
 class ServerCheckpoint:
-    """One durable snapshot of a server (plus optional transport state)."""
+    """One durable snapshot of a server (plus optional transport state).
+
+    ``gen`` is the snapshot's generation, assigned by the store that
+    persists it; log records name the generation they extend.
+    """
 
     server_id: int
     time: float
     state: dict[str, Any]
     transport: dict[str, Any] | None = None
+    gen: int = 0
 
 
 @dataclass
@@ -168,15 +154,21 @@ class CorruptCheckpoint:
     reason: str
 
 
-def capture_server_state(server, transport=None) -> ServerCheckpoint:
+def capture_server_state(server, transport=None, deep: bool = True) -> ServerCheckpoint:
     """Deep-copy a server's recoverable state into a checkpoint.
 
     ``server`` may be a simulated :class:`CausalECServer` or a bare
     :class:`~repro.protocol.server_core.ServerCore` driven by a live
     runtime; the checkpoint time comes from the scheduler when there is
-    one, else from the core's last-event clock.
+    one, else from the core's last-event clock.  Channel state shares the
+    (never mutated) sent messages.  ``deep=False`` shares the live state
+    objects too: only for a caller that encodes the checkpoint before the
+    server takes its next step.
     """
-    state = {name: copy.deepcopy(getattr(server, name)) for name in _DURABLE_ATTRS}
+    state = {
+        name: copy.deepcopy(getattr(server, name)) if deep else getattr(server, name)
+        for name in DURABLE_ATTRS
+    }
     tstate = None
     if transport is not None and getattr(transport, "active", False):
         tstate = transport.snapshot_node(server.node_id)
@@ -198,7 +190,7 @@ def restore_server_state(
             f"checkpoint belongs to server {checkpoint.server_id}, "
             f"not {server.node_id}"
         )
-    for name in _DURABLE_ATTRS:
+    for name in DURABLE_ATTRS:
         if name not in checkpoint.state:
             continue  # checkpoint from an older attr set: keep the default
         setattr(server, name, copy.deepcopy(checkpoint.state[name]))
@@ -218,62 +210,115 @@ def restore_server_state(
 
 @dataclass
 class DurableStore:
-    """Stable storage for server checkpoints (one slot per server).
+    """Stable storage for server state: a snapshot plus a log per server.
 
-    Models each server's local disk: :meth:`persist` atomically replaces
-    the server's checkpoint, :meth:`load` returns the latest one (or
-    ``None`` before the first persist).  ``persist_counts`` supports tests
-    and benchmarks that reason about persistence frequency.
+    Models each server's local disk with the live
+    :class:`~repro.runtime.asyncio_rt.FileDurableStore`'s interface and
+    record format: :meth:`persist` installs a snapshot (a new generation)
+    and empties the log, :meth:`append` adds one framed record
+    (:func:`~repro.core.wal.frame_record`), and :meth:`load` returns the
+    snapshot with the log replayed onto it (or ``None`` before the first
+    persist).  Snapshots are kept as captured objects, the log as bytes --
+    so tests can tear or flip bits in it.  ``persist_counts`` counts
+    commits (snapshots and records) per server.
 
     Bit rot is modelled at *detection* level: :meth:`corrupt` marks a
-    slot's checkpoint as damaged, and a subsequent :meth:`load` then
-    behaves exactly like the live :class:`~repro.runtime.asyncio_rt
-    .FileDurableStore` facing a digest mismatch -- it records a typed
-    :class:`CorruptCheckpoint` and returns ``None`` (a fresh persist
-    replaces the damaged slot and clears the mark).
+    slot's snapshot as damaged, and a subsequent :meth:`load` then
+    behaves exactly like the live store facing a digest mismatch -- it
+    records a typed :class:`CorruptCheckpoint` and returns ``None`` (a
+    fresh persist replaces the damaged slot and clears the mark).  A log
+    that fails its record checks is reported the same way.
     """
 
     _checkpoints: dict[int, ServerCheckpoint] = field(default_factory=dict)
+    #: server id -> framed log records since the snapshot
+    logs: dict[int, bytearray] = field(default_factory=dict)
+    #: server id -> encoded size of the snapshot (the compaction yardstick)
+    _snapshot_sizes: dict[int, int] = field(default_factory=dict)
+    _gens: dict[int, int] = field(default_factory=dict)
     persist_counts: dict[int, int] = field(default_factory=dict)
     _corrupt: set[int] = field(default_factory=set)
     #: every corruption detected by :meth:`load`, oldest first
     corruption_reports: list[CorruptCheckpoint] = field(default_factory=list)
 
+    def _count(self, server_id: int) -> None:
+        self.persist_counts[server_id] = self.persist_counts.get(server_id, 0) + 1
+
     def persist(self, checkpoint: ServerCheckpoint) -> None:
-        self._checkpoints[checkpoint.server_id] = checkpoint
-        self._corrupt.discard(checkpoint.server_id)
-        self.persist_counts[checkpoint.server_id] = (
-            self.persist_counts.get(checkpoint.server_id, 0) + 1
+        sid = checkpoint.server_id
+        checkpoint.gen = self._gens[sid] = self._gens.get(sid, 0) + 1
+        self._checkpoints[sid] = checkpoint
+        self._snapshot_sizes[sid] = wal.encoded_size(
+            (checkpoint.state, checkpoint.transport)
         )
+        self.logs[sid] = bytearray()
+        self._corrupt.discard(sid)
+        self._count(sid)
+
+    def append(self, server_id: int, payload: bytes) -> None:
+        self.logs.setdefault(server_id, bytearray()).extend(
+            wal.frame_record(payload)
+        )
+        self._count(server_id)
+
+    def generation(self, server_id: int) -> int:
+        return self._gens.get(server_id, 0)
+
+    def log_bytes(self, server_id: int) -> int:
+        return len(self.logs.get(server_id, b""))
+
+    def snapshot_bytes(self, server_id: int) -> int:
+        return self._snapshot_sizes.get(server_id, 0)
+
+    def _report(self, server_id: int, reason: str) -> None:
+        self.corruption_reports.append(CorruptCheckpoint(server_id, None, reason))
 
     def load(self, server_id: int) -> ServerCheckpoint | None:
         if server_id in self._corrupt:
-            self.corruption_reports.append(
-                CorruptCheckpoint(server_id, None, "simulated bit rot")
-            )
+            self._report(server_id, "simulated bit rot")
             return None
-        return self._checkpoints.get(server_id)
+        snap = self._checkpoints.get(server_id)
+        if snap is None:
+            return None
+        try:
+            state, transport, time = wal.replay(
+                snap.state,
+                snap.transport,
+                snap.gen,
+                wal.read_records(self.logs.get(server_id, b"")),
+            )
+        except wal.LogCorrupt as exc:
+            self._report(server_id, str(exc))
+            return None
+        return ServerCheckpoint(
+            server_id, snap.time if time is None else time, state, transport,
+            snap.gen,
+        )
 
     def verify(self, server_id: int) -> bool | None:
         """Disk-scrub hook: re-check a slot without surfacing its data.
 
         Returns ``None`` when the slot is empty, ``True`` when intact,
-        ``False`` (recording a typed report) when marked rotted -- the
-        same contract as the live store's ``verify_file``.
+        ``False`` (recording a typed report) when marked rotted or when a
+        log record fails its checks -- the same contract as the live
+        store's ``verify_file``.
         """
         if server_id not in self._checkpoints:
             return None
         if server_id in self._corrupt:
-            self.corruption_reports.append(
-                CorruptCheckpoint(server_id, None, "simulated bit rot")
-            )
+            self._report(server_id, "simulated bit rot")
+            return False
+        try:
+            wal.read_records(self.logs.get(server_id, b""))
+        except wal.LogCorrupt as exc:
+            self._report(server_id, str(exc))
             return False
         return True
 
     def corrupt(self, server_id: int) -> bool:
-        """Damage server ``server_id``'s checkpoint (detected on load).
+        """Damage server ``server_id``'s snapshot (detected on load).
 
-        Returns whether there was a checkpoint to damage.
+        Returns whether there was a snapshot to damage.
         """
         if server_id not in self._checkpoints:
             return False
@@ -294,4 +339,6 @@ class DurableStore:
     def wipe(self, server_id: int) -> None:
         """Simulate disk loss for one server (tests)."""
         self._checkpoints.pop(server_id, None)
+        self.logs.pop(server_id, None)
+        self._snapshot_sizes.pop(server_id, None)
         self._corrupt.discard(server_id)

@@ -14,6 +14,11 @@ These containers implement the exact semantics the pseudocode relies on,
 plus two bounded-metadata optimisations documented in DESIGN.md (deletion
 lists are pruned below the watermark; both preserve every observable
 behaviour because tags are totally ordered and watermarks are monotone).
+
+The four mutable containers (history list, deletion list, InQueue, ReadL)
+carry a mutation counter ``rev``: every method that changes their content
+bumps it, so the write-ahead log (:mod:`repro.core.wal`) finds what changed
+since its last commit by comparing counters, without copying or encoding.
 """
 
 from __future__ import annotations
@@ -28,7 +33,25 @@ from .tags import Tag
 __all__ = ["HistoryList", "DeletionList", "InQueue", "ReadEntry", "ReadList", "Codeword"]
 
 
-class HistoryList:
+class _Counted:
+    """Base of the mutable containers: ``rev`` counts content changes.
+
+    ``__init__`` starts it at 0, and an unset ``rev`` also reads as 0, so
+    the construction paths that bypass ``__init__`` -- the wire decoder
+    (``cls.__new__`` + setattr), ``copy.deepcopy`` -- have it too.  It is
+    bookkeeping, not state: the wire encoding leaves it out.
+    """
+
+    __slots__ = ("rev",)
+
+    def __getattr__(self, name):
+        # only reached when normal lookup fails, i.e. for an unset slot
+        if name == "rev":
+            return 0
+        raise AttributeError(name)
+
+
+class HistoryList(_Counted):
     """History list L[X]: a set of (tag, value) pairs for one object.
 
     ``highest_tag`` follows the paper's convention: the zero tag when the
@@ -40,15 +63,18 @@ class HistoryList:
     def __init__(self, zero: Tag):
         self._zero = zero
         self._items: dict[Tag, np.ndarray] = {}
+        self.rev = 0
 
     def add(self, tag: Tag, value: np.ndarray) -> None:
         self._items[tag] = value
+        self.rev += 1
 
     def get(self, tag: Tag) -> np.ndarray | None:
         return self._items.get(tag)
 
     def remove(self, tag: Tag) -> None:
-        self._items.pop(tag, None)
+        if self._items.pop(tag, None) is not None:
+            self.rev += 1
 
     def __contains__(self, tag: Tag) -> bool:
         return tag in self._items
@@ -75,7 +101,7 @@ class HistoryList:
         return self._items[self.highest_tag]
 
 
-class DeletionList:
+class DeletionList(_Counted):
     """Deletion list DelL[X]: per-sender sets of acknowledged tags.
 
     Supports the three aggregate queries Algorithm 3 needs:
@@ -94,9 +120,14 @@ class DeletionList:
     def __init__(self) -> None:
         self._tags: dict[int, set[Tag]] = {}
         self._max: dict[int, Tag] = {}
+        self.rev = 0
 
     def add(self, tag: Tag, node: int) -> None:
-        self._tags.setdefault(node, set()).add(tag)
+        tags = self._tags.setdefault(node, set())
+        if tag in tags:
+            return
+        tags.add(tag)
+        self.rev += 1
         cur = self._max.get(node)
         if cur is None or tag > cur:
             self._max[node] = tag
@@ -136,7 +167,9 @@ class DeletionList:
         for n, tags in self._tags.items():
             keep = {t for t in tags if not t < watermark}
             keep.add(self._max[n])
-            self._tags[n] = keep
+            if len(keep) != len(tags):
+                self._tags[n] = keep
+                self.rev += 1
 
     def total_entries(self) -> int:
         return sum(len(v) for v in self._tags.values())
@@ -152,7 +185,7 @@ class InQueueEntry:
     tag: Tag
 
 
-class InQueue:
+class InQueue(_Counted):
     """Pending ``app`` tuples, scanned in tag order for applicability.
 
     The paper keeps a priority queue and checks only the head; we scan in
@@ -164,10 +197,12 @@ class InQueue:
 
     def __init__(self) -> None:
         self._entries: list[InQueueEntry] = []
+        self.rev = 0
 
     def add(self, entry: InQueueEntry) -> None:
         self._entries.append(entry)
         self._entries.sort(key=lambda e: (e.tag.ts.lamport, e.tag.client_id))
+        self.rev += 1
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -185,6 +220,7 @@ class InQueue:
                 continue
             if all(ts[p] <= vc[p] for p in range(len(vc)) if p != j):
                 del self._entries[i]
+                self.rev += 1
                 return e
         return None
 
@@ -202,7 +238,10 @@ class InQueue:
         self._entries = [
             e for e in self._entries if e.tag.ts[e.sender] > vc[e.sender]
         ]
-        return before - len(self._entries)
+        purged = before - len(self._entries)
+        if purged:
+            self.rev += 1
+        return purged
 
 
 @dataclass
@@ -221,24 +260,32 @@ class ReadEntry:
     registered_at: float = 0.0
 
 
-class ReadList:
+class ReadList(_Counted):
     """Pending-read list ReadL, indexed by operation id."""
 
     __slots__ = ("_by_opid",)
 
     def __init__(self) -> None:
         self._by_opid: dict[Any, ReadEntry] = {}
+        self.rev = 0
 
     def add(self, entry: ReadEntry) -> None:
         if entry.opid in self._by_opid:
             raise ValueError(f"duplicate pending read opid {entry.opid!r}")
         self._by_opid[entry.opid] = entry
+        self.rev += 1
 
     def get(self, opid: Any) -> ReadEntry | None:
         return self._by_opid.get(opid)
 
+    def add_symbol(self, entry: ReadEntry, src: int, symbol: np.ndarray) -> None:
+        """Record server ``src``'s codeword symbol for a pending read."""
+        entry.symbols[src] = symbol
+        self.rev += 1
+
     def remove(self, opid: Any) -> None:
-        self._by_opid.pop(opid, None)
+        if self._by_opid.pop(opid, None) is not None:
+            self.rev += 1
 
     def __len__(self) -> int:
         return len(self._by_opid)

@@ -35,7 +35,14 @@ __all__ = ["LinearCode"]
 
 
 class LinearCode:
-    """A linear code C(N, K, F) given by per-server coefficient matrices."""
+    """A linear code C(N, K, F) given by per-server coefficient matrices.
+
+    Instances are immutable once built: the matrices never change, and the
+    recovery-set and coefficient caches only memoise pure functions of
+    them.  The class therefore has value semantics -- ``copy.copy`` and
+    ``copy.deepcopy`` return the instance itself, so forked protocol states
+    and checkpoints share one code instead of duplicating its matrices.
+    """
 
     def __init__(
         self,
@@ -402,6 +409,12 @@ class LinearCode:
                 if not self.is_recovery_set(combo, k):
                     return False
         return True
+
+    def __copy__(self) -> "LinearCode":
+        return self
+
+    def __deepcopy__(self, memo) -> "LinearCode":
+        return self
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (

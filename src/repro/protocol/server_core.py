@@ -624,7 +624,8 @@ class ServerCore(ProtocolCore):
         ack = WriteAck(msg.opid)
         ack.ts = self.vc
         ack.tag = tag
-        self._client_sessions[client] = (msg.opid, ack)
+        # copy-on-write: the write-ahead log detects changes by identity
+        self._client_sessions = {**self._client_sessions, client: (msg.opid, ack)}
         self._emit_reply(client, self._sized(ack))
         for j in self._others:
             self._emit_send(j, self._sized(App(msg.obj, msg.value, tag), 1, 1))
@@ -901,7 +902,7 @@ class ServerCore(ProtocolCore):
         if not ok:
             return
         modified = self.code.reencode_many(src, msg.symbol, updates)
-        entry.symbols[src] = modified
+        self.readl.add_symbol(entry, src, modified)
         value = self.code.decode(entry.obj, entry.symbols)
         if value is not None:
             self._respond_read(entry, value)
@@ -988,8 +989,10 @@ class ServerCore(ProtocolCore):
                 )
                 progress = True
                 dirty = True
+            if advanced:
+                # copy-on-write, like M.value: the log compares by identity
+                self.M.tagvec = {**self.M.tagvec, **advanced}
             for x, highest in advanced.items():
-                self.M.tagvec[x] = highest
                 self.stats.reencodings += 1
                 self.DelL[x].add(highest, self.node_id)
                 self._send_del_storing(x, highest)
@@ -1029,7 +1032,7 @@ class ServerCore(ProtocolCore):
         if not eligible:
             return False
         best = max(eligible)
-        self.M.tagvec[x] = best
+        self.M.tagvec = {**self.M.tagvec, x: best}
         self.DelL[x].add(best, self.node_id)
         self._send_del_all(x, best)
         return True

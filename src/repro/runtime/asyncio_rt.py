@@ -27,13 +27,18 @@ arrive on it, distinguished by a hello frame:
 Reliable FIFO channels (the paper's network model) are realised per peer
 channel with a small ARQ: the dialer numbers messages, buffers them until
 acked, and replays the unacked tail on every reconnect; the listener
-delivers in sequence order, deduplicates, records the delivery watermark
-*before* handling (so the post-handler checkpoint makes delivery and state
-change atomic), and acks only after the handler's ``PersistEffect`` hit
-stable storage.  Channel state (send seq + unacked tail, receive
-watermarks) rides inside each :class:`~repro.core.snapshot.ServerCheckpoint`
-exactly like the simulator's ARQ transport state, so a restarted server
-resumes its channels without duplicating or dropping protocol messages.
+delivers in sequence order, deduplicates, and records the delivery
+watermark *before* handling, so the tick's commit makes delivery and state
+change atomic.
+
+Durability is a group commit per event-loop tick: a ``PersistEffect`` (or
+any output) only schedules one end-of-tick commit, which appends a single
+delta record of the server's write-ahead log (:mod:`repro.core.wal`) with
+one ``fsync``; only after it do the tick's client replies, ARQ data frames
+and ARQ acks leave.  Channel state (send seq + unacked tail, receive
+watermarks) is part of that durable state exactly like the simulator's
+ARQ transport state, so a restarted server resumes its channels without
+duplicating or dropping protocol messages.
 
 Time is ``loop.time()`` in milliseconds, so the cores see the same unit the
 simulator uses; effect timers map to ``loop.call_later`` guarded by an
@@ -64,6 +69,7 @@ from ..core.messages import (
     RepairRequest,
     RepairResponse,
 )
+from ..core import wal
 from ..core.snapshot import (
     CorruptCheckpoint,
     ServerCheckpoint,
@@ -131,6 +137,11 @@ RETRANSMIT_INTERVAL = 0.05
 #: seconds between polls of the audit log by the streaming task
 AUDIT_POLL = 0.02
 
+#: seconds a durable server must go without a commit before it folds its
+#: log into a fresh snapshot: compaction off the hot path, so an idle
+#: server's disk holds one snapshot of its (converged) state
+IDLE_COMPACT_S = 0.05
+
 _CONN_ERRORS = (
     ConnectionError,
     asyncio.IncompleteReadError,
@@ -168,33 +179,47 @@ def _ckpt_digest(data: bytes) -> bytes:
 
 
 class FileDurableStore:
-    """File-backed stable storage: one checkpoint file per server.
+    """File-backed stable storage: a snapshot file and a log file per server.
 
     The live-runtime counterpart of the simulator's in-memory
-    :class:`~repro.core.snapshot.DurableStore`, with the same interface.
-    Checkpoints are wire-encoded (never pickled) and replaced atomically
-    (write-to-temp + fsync + rename + directory fsync), so a crash
-    mid-persist leaves the previous checkpoint intact *and* the rename is
-    itself durable; stale ``*.ckpt.tmp`` from a crash mid-write are swept
-    on boot.
+    :class:`~repro.core.snapshot.DurableStore`, with the same interface and
+    the same write-ahead log (:mod:`repro.core.wal`).  Everything is
+    wire-encoded, never pickled.
 
-    Integrity: the file is a sectioned container --
+    * :meth:`persist` writes a *snapshot* -- a full checkpoint replaced
+      atomically (write-to-temp + fsync + rename + directory fsync), so a
+      crash mid-persist leaves the previous snapshot intact *and* the
+      rename is itself durable; stale ``*.ckpt.tmp`` from a crash
+      mid-write are swept on boot.  Each snapshot starts a new generation
+      and truncates the log (the compaction step).
+    * :meth:`append` adds one framed delta record to ``server_<id>.wal``
+      and fsyncs it: the per-tick group commit of
+      :class:`AsyncioServer`.
+    * :meth:`load` returns the snapshot with the log replayed onto it.
+
+    Integrity: the snapshot is a sectioned container --
     ``magic || u32 nsections || (u32 len || blake2b-16 || payload)* ||
     header blake2b-16`` -- with a digest per section (meta / durable state
-    / transport state) plus a header digest over the section directory.
-    :meth:`load` verifies all of them; *any* mismatch or truncation is
-    reported as a typed :class:`~repro.core.snapshot.CorruptCheckpoint`
-    (in ``corruption_reports``) and surfaces as "no checkpoint", so the
-    server restarts empty and lets anti-entropy repair pull its state back
-    from peers instead of crashing on load.
+    / transport state) plus a header digest over the section directory;
+    every log record carries its own digest.  :meth:`load` verifies all
+    of them; *any* mismatch or truncation is reported as a typed
+    :class:`~repro.core.snapshot.CorruptCheckpoint` (in
+    ``corruption_reports``) and surfaces as "no checkpoint", so the server
+    restarts empty and lets anti-entropy repair pull its state back from
+    peers instead of crashing on load.
     """
 
     def __init__(self, root: str | os.PathLike):
         self.root = Path(root)
         self.root.mkdir(parents=True, exist_ok=True)
+        #: commits per server: snapshots plus appended records
         self.persist_counts: dict[int, int] = {}
         #: every corruption/truncation ever detected by :meth:`load`
         self.corruption_reports: list[CorruptCheckpoint] = []
+        self._gens: dict[int, int] = {}
+        self._snapshot_sizes: dict[int, int] = {}
+        self._log_sizes: dict[int, int] = {}
+        self._logs: dict[int, object] = {}  # server id -> open log file
         # a crash between tmp-write and rename leaves a stale tmp behind;
         # it was never the live checkpoint, so sweep it
         for stale in self.root.glob("*.ckpt.tmp"):
@@ -203,10 +228,13 @@ class FileDurableStore:
     def _path(self, server_id: int) -> Path:
         return self.root / f"server_{server_id}.ckpt"
 
+    def _log_path(self, server_id: int) -> Path:
+        return self.root / f"server_{server_id}.wal"
+
     @staticmethod
     def _encode_checkpoint(checkpoint: ServerCheckpoint) -> bytes:
         sections = (
-            wire.encode((checkpoint.server_id, checkpoint.time)),
+            wire.encode((checkpoint.server_id, checkpoint.time, checkpoint.gen)),
             wire.encode(checkpoint.state),
             wire.encode(checkpoint.transport),
         )
@@ -219,7 +247,6 @@ class FileDurableStore:
             directory.append(digest)
         parts.append(_ckpt_digest(b"".join(directory)))
         return b"".join(parts)
-
     @staticmethod
     def _decode_checkpoint(blob: bytes) -> ServerCheckpoint:
         """Parse + verify; raises ``ValueError`` on any integrity failure."""
@@ -254,25 +281,70 @@ class FileDurableStore:
         if _ckpt_digest(b"".join(directory)) != bytes(view[pos:]):
             raise ValueError("checkpoint header digest mismatch")
         try:
-            server_id, time = wire.decode(payloads[0])
+            # (server_id, time, gen); snapshots predating generations
+            # carry no gen and no log
+            server_id, time, *gen = wire.decode(payloads[0])
             state = wire.decode(payloads[1])
             transport = wire.decode(payloads[2])
-        except wire.WireError as exc:
+        except (wire.WireError, ValueError, TypeError) as exc:
             raise ValueError(f"checkpoint section undecodable: {exc}") from exc
-        return ServerCheckpoint(server_id, time, state, transport)
+        return ServerCheckpoint(server_id, time, state, transport, *gen[:1])
 
     def persist(self, checkpoint: ServerCheckpoint) -> None:
-        path = self._path(checkpoint.server_id)
+        """Write a snapshot: a new generation, replacing the log."""
+        sid = checkpoint.server_id
+        # a random generation can never collide with the one of a log a
+        # crash left behind, even when this process never loaded it
+        checkpoint.gen = int.from_bytes(os.urandom(8), "big") >> 1
+        path = self._path(sid)
         tmp = path.with_suffix(".ckpt.tmp")
+        blob = self._encode_checkpoint(checkpoint)
         with open(tmp, "wb") as fh:
-            fh.write(self._encode_checkpoint(checkpoint))
+            fh.write(blob)
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)
         self._fsync_dir()
-        self.persist_counts[checkpoint.server_id] = (
-            self.persist_counts.get(checkpoint.server_id, 0) + 1
-        )
+        # the old log is dead from here on (its records name the previous
+        # generation); truncating it needs no fsync of its own
+        log = self._log(sid)
+        log.truncate(0)
+        log.seek(0)
+        self._gens[sid] = checkpoint.gen
+        self._snapshot_sizes[sid] = len(blob)
+        self._log_sizes[sid] = 0
+        self.persist_counts[sid] = self.persist_counts.get(sid, 0) + 1
+
+    def _log(self, server_id: int):
+        log = self._logs.get(server_id)
+        if log is None:
+            log = self._logs[server_id] = open(self._log_path(server_id), "ab")
+        return log
+
+    def append(self, server_id: int, payload: bytes) -> None:
+        """Append one delta record and fsync it (one group commit)."""
+        record = wal.frame_record(payload)
+        log = self._log(server_id)
+        log.write(record)
+        log.flush()
+        os.fsync(log.fileno())
+        self._log_sizes[server_id] = self._log_sizes.get(server_id, 0) + len(record)
+        self.persist_counts[server_id] = self.persist_counts.get(server_id, 0) + 1
+
+    def generation(self, server_id: int) -> int:
+        return self._gens.get(server_id, 0)
+
+    def log_bytes(self, server_id: int) -> int:
+        return self._log_sizes.get(server_id, 0)
+
+    def snapshot_bytes(self, server_id: int) -> int:
+        return self._snapshot_sizes.get(server_id, 0)
+
+    def close(self) -> None:
+        """Close the open log files (reopened on the next append)."""
+        for log in self._logs.values():
+            log.close()
+        self._logs.clear()
 
     def _fsync_dir(self) -> None:
         # the rename is only durable once the directory entry is; some
@@ -288,36 +360,46 @@ class FileDurableStore:
         finally:
             os.close(fd)
 
-    def load(self, server_id: int) -> ServerCheckpoint | None:
+    def _read(self, server_id: int) -> ServerCheckpoint | None:
+        """Snapshot plus replayed log; raises ``ValueError`` on damage."""
         path = self._path(server_id)
         if not path.exists():
             return None
+        snap = self._decode_checkpoint(path.read_bytes())
+        log = self._log_path(server_id)
+        blob = log.read_bytes() if log.exists() else b""
+        state, transport, time = wal.replay(
+            snap.state, snap.transport, snap.gen, wal.read_records(blob)
+        )
+        return ServerCheckpoint(
+            server_id, snap.time if time is None else time, state, transport,
+            snap.gen,
+        )
+
+    def _report(self, server_id: int, exc: Exception) -> None:
+        self.corruption_reports.append(
+            CorruptCheckpoint(server_id, str(self._path(server_id)), str(exc))
+        )
+
+    def load(self, server_id: int) -> ServerCheckpoint | None:
         try:
-            return self._decode_checkpoint(path.read_bytes())
+            return self._read(server_id)
         except (ValueError, OSError) as exc:
-            self.corruption_reports.append(
-                CorruptCheckpoint(server_id, str(path), str(exc))
-            )
+            self._report(server_id, exc)
             return None
 
     def verify_file(self, server_id: int) -> bool | None:
-        """Re-verify the at-rest checkpoint's digests (disk scrub).
+        """Re-verify the at-rest snapshot and log digests (disk scrub).
 
-        Returns ``None`` when no checkpoint exists, ``True`` when every
+        Returns ``None`` when no snapshot exists, ``True`` when every
         digest checks out, ``False`` (recording a typed report) when the
-        file is damaged -- without surfacing the decoded checkpoint, so
+        files are damaged -- without surfacing the decoded checkpoint, so
         scrubbing cannot accidentally become a recovery path.
         """
-        path = self._path(server_id)
-        if not path.exists():
-            return None
         try:
-            self._decode_checkpoint(path.read_bytes())
-            return True
+            return None if self._read(server_id) is None else True
         except (ValueError, OSError) as exc:
-            self.corruption_reports.append(
-                CorruptCheckpoint(server_id, str(path), str(exc))
-            )
+            self._report(server_id, exc)
             return False
 
     def corrupt_detected(self, server_id: int | None = None) -> int:
@@ -361,7 +443,13 @@ class FileDurableStore:
 
     def wipe(self, server_id: int) -> None:
         """Simulate disk loss for one server (tests)."""
+        log = self._logs.pop(server_id, None)
+        if log is not None:
+            log.close()
         self._path(server_id).unlink(missing_ok=True)
+        self._log_path(server_id).unlink(missing_ok=True)
+        self._snapshot_sizes.pop(server_id, None)
+        self._log_sizes.pop(server_id, None)
 
 
 class _PeerChannel:
@@ -388,12 +476,20 @@ class _PeerChannel:
     overlap).  Gossip frames are best-effort and are simply shed under
     pressure.  FIFO order is preserved: ``_pending`` is flushed in append
     order by the only writer task.
+
+    Group commit: the server calls :meth:`queue` for data frames (numbered
+    and held in ``unacked``) and :meth:`release` once the commit covering
+    them is on disk.  No path -- first send, reconnect replay,
+    retransmission, post-drain replay -- transmits a frame above
+    ``released``.  :meth:`send` is queue-then-release.
     """
 
     def __init__(self, server: "AsyncioServer", peer_id: int):
         self.server = server
         self.peer_id = peer_id
         self.seq = 0
+        #: highest seq allowed on the wire (covered by a durable commit)
+        self.released = 0
         #: highest cumulative ack received; frames <= acked are pruned and
         #: can never be replayed, so the hello advertises it as the
         #: receiver's minimum watermark (see ``_peer_loop``)
@@ -416,9 +512,22 @@ class _PeerChannel:
         self._last_tx: dict[int, float] = {}
 
     def send(self, msg) -> None:
+        self.queue(msg)
+        self.release()
+
+    def queue(self, msg) -> None:
+        """Number and hold a data frame; it leaves at :meth:`release`."""
         self.seq += 1
         self.unacked.append((self.seq, msg))
-        self._transmit(self.seq, msg)
+
+    def release(self) -> None:
+        """Transmit every frame queued since the last release."""
+        fresh = self.seq - self.released
+        self.released = self.seq
+        if fresh <= 0:
+            return
+        for seq, msg in list(self.unacked)[-fresh:]:
+            self._transmit(seq, msg)
 
     def send_gossip(self, msg) -> None:
         """Best-effort unsequenced frame (heartbeats): no ARQ, no replay."""
@@ -435,6 +544,8 @@ class _PeerChannel:
 
     def _transmit(self, seq: int, msg) -> None:
         """One transmission attempt for a sequenced data frame."""
+        if seq > self.released:
+            return  # not yet covered by a commit: release() sends it
         # stamp every attempt, dropped ones included: the age gate measures
         # time since we last *tried*, not since the frame last got through
         self._last_tx[seq] = asyncio.get_running_loop().time()
@@ -713,7 +824,7 @@ class _ChannelStateView:
         for j, st in state.get("send", {}).items():
             ch = s._channels.get(j)
             if ch is not None:
-                ch.seq = st["seq"]
+                ch.seq = ch.released = st["seq"]
                 ch.unacked = deque(tuple(entry) for entry in st["unacked"])
                 # everything below the unacked tail was acked and pruned
                 ch.acked = ch.unacked[0][0] - 1 if ch.unacked else ch.seq
@@ -760,9 +871,10 @@ class AsyncioServer:
         self.host = host
         self.port = port
         self.chaos = chaos
-        #: coalesce outbound frames (and acks) per event-loop tick;
-        #: ``False`` restores one write + one ack per frame, kept as the
-        #: comparison lane for the macro benchmark
+        #: coalesce outbound data frames per event-loop tick; ``False``
+        #: restores one write per data frame, kept as the comparison lane
+        #: for the macro benchmark (replies and acks leave once per group
+        #: commit either way)
         self.batch = batch
         #: wire frames put on a socket / single writer.write calls issued;
         #: ``frames_sent / flushes`` is the measured batching factor
@@ -789,6 +901,20 @@ class AsyncioServer:
         self._inbound: set[asyncio.StreamWriter] = set()
         self._timers: dict[tuple, asyncio.TimerHandle] = {}
         self._arq_view = _ChannelStateView(self)
+        # group commit: output produced in one event-loop tick is held
+        # until the tick's commit is on disk (see _commit_tick)
+        self._wal = None if store is None else wal.DurableLog(
+            store, self.node_id, self._capture
+        )
+        self._commit_pending = False
+        self._compact_armed = False
+        self._last_commit = 0.0
+        #: client replies awaiting release: connection -> frames in order
+        self._held: dict[asyncio.StreamWriter, list[tuple]] = {}
+        #: peer channels with queued data frames awaiting release
+        self._unreleased: dict[int, _PeerChannel] = {}
+        #: inbound peer connections owed a cumulative ack: writer -> src
+        self._ack_due: dict[asyncio.StreamWriter, int] = {}
         self._loop: asyncio.AbstractEventLoop | None = None
         self.detector: FailureDetectorCore | None = None
         if detector is not None:
@@ -924,7 +1050,8 @@ class AsyncioServer:
         self._inbound.clear()
         self._clients.clear()
         await asyncio.sleep(0.01)  # let connection handlers observe the close
-        # a crash loses everything not on disk
+        # a crash loses everything not on disk, unreleased output included
+        self._drop_unreleased()
         self._recv_last = {}
         self._ooo = {}
         self.core.wipe_volatile()
@@ -947,9 +1074,11 @@ class AsyncioServer:
             self.halted = False
             for j in self.peers:
                 ch = self._channels[j] = _PeerChannel(self, j)
-            checkpoint = (
-                None if self.store is None else self.store.load(self.node_id)
-            )
+            checkpoint = None
+            if self.store is not None:
+                # the new incarnation starts a fresh snapshot generation
+                self._wal.force_snapshot()
+                checkpoint = self.store.load(self.node_id)
             if checkpoint is not None:
                 restore_server_state(
                     self.core, checkpoint, transport=self._arq_view
@@ -1039,27 +1168,6 @@ class AsyncioServer:
                 for seq in [s for s in pending if s <= base]:
                     del pending[seq]
 
-        ack_scheduled = False
-
-        def _flush_ack() -> None:
-            # one cumulative ack per burst of frames: readexactly serves a
-            # whole buffered batch without yielding, so this call_soon
-            # callback runs once the burst is fully delivered *and
-            # persisted* (the persist in _deliver is synchronous) and acks
-            # its final watermark
-            nonlocal ack_scheduled
-            ack_scheduled = False
-            if self._epoch != epoch or self.halted:
-                return
-            try:
-                writer.write(
-                    wire.encode_frame(("a", self._recv_last.get(src, 0)))
-                )
-            except _CONN_ERRORS:  # pragma: no cover - racing disconnect
-                return
-            self.frames_sent += 1
-            self.flushes += 1
-
         while True:
             try:
                 payload = await read_frame(reader)
@@ -1101,19 +1209,15 @@ class AsyncioServer:
                 while last + 1 in pending:
                     last += 1
                     m = pending.pop(last)
-                    # watermark first: the handler's persist then records
+                    # watermark first: the tick's commit then records
                     # delivery and the resulting state change atomically
                     self._recv_last[src] = last
                     self.activity += 1
                     self._deliver(src, m)
-            # cumulative ack, sent only after the persist above hit disk
-            if not self.batch:
-                writer.write(wire.encode_frame(("a", last)))
-                self.frames_sent += 1
-                self.flushes += 1
-            elif not ack_scheduled:
-                ack_scheduled = True
-                self._loop.call_soon(_flush_ack)
+            # one cumulative ack per tick, released after the tick's
+            # commit made the watermark durable (duplicates re-ack too)
+            self._ack_due[writer] = src
+            self._schedule_commit()
 
     def _deliver(self, src: int, msg) -> None:
         """Route one in-order data frame to the right core."""
@@ -1212,7 +1316,7 @@ class AsyncioServer:
                 if handle is not None:
                     handle.cancel()
             elif cls is PersistEffect:
-                self._persist()
+                self._schedule_commit()
             elif cls is LogEffect:
                 self.decision_log.append(e.entry)
                 if self.audit_addr is not None:
@@ -1290,19 +1394,18 @@ class AsyncioServer:
                 ch.start()
 
     def _send(self, dst: int, msg) -> None:
+        """Queue a protocol message; it leaves after the tick's commit."""
         if dst < self.num_servers:
             channel = self._channels.get(dst)
             if channel is not None:
-                channel.send(msg)
+                channel.queue(msg)
+                self._unreleased[dst] = channel
+                self._schedule_commit()
         else:
             writer = self._clients.get(dst)
             if writer is not None:
-                try:
-                    writer.write(wire.encode_frame(("m", msg)))
-                except _CONN_ERRORS:  # pragma: no cover - racing disconnect
-                    return
-                self.frames_sent += 1
-                self.flushes += 1
+                self._held.setdefault(writer, []).append(("m", msg))
+                self._schedule_commit()
             # else: client gone; its retry policy re-requests
 
     def _on_timer(self, timer_id: tuple, epoch: int) -> None:
@@ -1326,11 +1429,80 @@ class AsyncioServer:
             return
         self.interpret(self.core.handle_timer(timer_id, self.now()))
 
-    def _persist(self) -> None:
-        if self.store is None or self.halted:
+    # ------------------------------------------------------------------
+    # group commit
+
+    def _capture(self, core, transport):
+        # the file store encodes the snapshot at once: no copy needed.  The
+        # module-level lookup lets a tracer wrapping it see every capture.
+        return capture_server_state(core, transport, deep=False)
+
+    def _schedule_commit(self) -> None:
+        """Arrange one commit at the end of the current event-loop tick."""
+        if not self._commit_pending and not self.halted:
+            self._commit_pending = True
+            self._loop.call_soon(self._commit_tick, self._epoch)
+
+    def _commit_tick(self, epoch: int) -> None:
+        """Group commit: make the tick's state durable, then release output.
+
+        Everything handled since the last commit -- client requests, peer
+        frames, timers -- lands in one log record and one ``fsync``
+        (:class:`~repro.core.wal.DurableLog`).  Only then do the tick's
+        client replies, ARQ data frames and ARQ acks leave, so nothing is
+        ever acknowledged before the state it acknowledges is on disk.  A
+        crash before this runs drops the output with the uncommitted state
+        (:meth:`_drop_unreleased`).
+        """
+        if epoch != self._epoch or self.halted:
+            return  # the incarnation that scheduled this commit crashed
+        self._commit_pending = False
+        if self._wal is not None and self._wal.commit(
+            self.core, self._arq_view, self.now()
+        ):
+            self.core.stats.persists += 1
+            self._last_commit = self._loop.time()
+            if self.store.log_bytes(self.node_id) and not self._compact_armed:
+                self._compact_armed = True
+                self._loop.call_later(
+                    IDLE_COMPACT_S, self._idle_compact, self._epoch
+                )
+        channels, self._unreleased = self._unreleased, {}
+        for ch in channels.values():
+            ch.release()
+        held, self._held = self._held, {}
+        acks, self._ack_due = self._ack_due, {}
+        for writer, src in acks.items():
+            held.setdefault(writer, []).append(("a", self._recv_last.get(src, 0)))
+        for writer, frames in held.items():
+            try:
+                writer.write(wire.encode_frames(frames))
+            except _CONN_ERRORS:  # pragma: no cover - racing disconnect
+                continue
+            self.frames_sent += len(frames)
+            self.flushes += 1
+
+    def _idle_compact(self, epoch: int) -> None:
+        """Snapshot once no commit happened for ``IDLE_COMPACT_S``."""
+        if epoch != self._epoch or self.halted:
             return
-        self.core.stats.persists += 1
-        self.store.persist(capture_server_state(self.core, self._arq_view))
+        idle = self._loop.time() - self._last_commit
+        if idle < IDLE_COMPACT_S:
+            self._loop.call_later(
+                IDLE_COMPACT_S - idle, self._idle_compact, epoch
+            )
+            return
+        self._compact_armed = False
+        if self.store.log_bytes(self.node_id):
+            self._wal.force_snapshot()
+            self._schedule_commit()
+
+    def _drop_unreleased(self) -> None:
+        self._commit_pending = False
+        self._compact_armed = False
+        self._held = {}
+        self._unreleased = {}
+        self._ack_due = {}
 
     def _scrub_disk(self) -> None:
         """Disk-side scrub: re-verify the at-rest checkpoint each round
@@ -1346,7 +1518,8 @@ class AsyncioServer:
             stats.checkpoints_verified += 1
             return
         stats.checkpoints_corrupt += 1
-        self._persist()
+        self._wal.force_snapshot()
+        self._schedule_commit()
         stats.checkpoints_rewritten += 1
 
     # ------------------------------------------------------------------
@@ -2141,6 +2314,7 @@ class AsyncioCluster:
             await client.close()
         for server in self.servers:
             await server.shutdown()
+        self.store.close()
         if self._tmpdir is not None:
             self._tmpdir.cleanup()
             self._tmpdir = None

@@ -40,7 +40,6 @@ left off.
 
 from __future__ import annotations
 
-import copy
 from dataclasses import dataclass, field
 from typing import Any, Callable
 
@@ -273,35 +272,32 @@ class ReliableTransport:
     # crash-recovery support
 
     def snapshot_node(self, node_id: int) -> dict[str, Any]:
-        """Deep-copied channel state owned by ``node_id``.
+        """Channel state owned by ``node_id``, as plain wire-encodable data.
 
         Covers both halves: send windows of channels ``node_id -> *`` (so a
         recovered node keeps retransmitting messages it logically sent but
-        whose delivery was never acknowledged) and reassembly state of
+        whose delivery was never acknowledged) and delivery watermarks of
         channels ``* -> node_id`` (so retransmissions of already-delivered
         segments are deduplicated after recovery instead of being applied
-        twice).
+        twice).  The shape is the live runtime's: ``{"send": {dst: {"seq":
+        next seq, "unacked": [(seq, payload), ...]}}, "recv": {src: next
+        expected seq}}``.  Out-of-order segments buffered at the receiver
+        are left out: the cumulative ack never covered them, so their
+        senders still hold and retransmit them.  Payloads are shared, not
+        copied -- protocol messages are never mutated after a send.
         """
         send = {
-            chan: _SendState(
-                next_seq=st.next_seq,
-                unacked={
-                    seq: _Outstanding(
-                        payload=copy.deepcopy(out.payload),
-                        rto=self.config.initial_rto,
-                    )
-                    for seq, out in st.unacked.items()
-                },
-            )
-            for chan, st in self._send_states.items()
-            if chan[0] == node_id
+            dst: {
+                "seq": st.next_seq,
+                "unacked": [(seq, out.payload) for seq, out in st.unacked.items()],
+            }
+            for (src, dst), st in self._send_states.items()
+            if src == node_id
         }
         recv = {
-            chan: _RecvState(
-                expected=rc.expected, buffer=copy.deepcopy(rc.buffer)
-            )
-            for chan, rc in self._recv_states.items()
-            if chan[1] == node_id
+            src: rc.expected
+            for (src, dst), rc in self._recv_states.items()
+            if dst == node_id
         }
         return {"send": send, "recv": recv}
 
@@ -314,21 +310,16 @@ class ReliableTransport:
             del self._send_states[chan]
         for chan in [c for c in self._recv_states if c[1] == node_id]:
             del self._recv_states[chan]
-        for chan, st in snap["send"].items():
-            self._send_states[chan] = _SendState(
-                next_seq=st.next_seq,
+        for dst, st in snap["send"].items():
+            self._send_states[(node_id, dst)] = _SendState(
+                next_seq=st["seq"],
                 unacked={
-                    seq: _Outstanding(
-                        payload=copy.deepcopy(out.payload),
-                        rto=self.config.initial_rto,
-                    )
-                    for seq, out in st.unacked.items()
+                    seq: _Outstanding(payload=payload, rto=self.config.initial_rto)
+                    for seq, payload in st["unacked"]
                 },
             )
-        for chan, rc in snap["recv"].items():
-            self._recv_states[chan] = _RecvState(
-                expected=rc.expected, buffer=copy.deepcopy(rc.buffer)
-            )
+        for src, expected in snap["recv"].items():
+            self._recv_states[(src, node_id)] = _RecvState(expected=expected)
         self._rearm_node(node_id)
 
     def _rearm_node(self, node_id: int) -> None:

@@ -32,10 +32,6 @@ from ..sim.scheduler import Scheduler
 
 __all__ = ["ExplorationResult", "StateExplorer", "explore_schedules"]
 
-# LinearCode and Field instances are immutable (their caches are
-# semantically transparent); sharing them across forks keeps deepcopy cheap.
-LinearCode.__deepcopy__ = lambda self, memo: self  # type: ignore[attr-defined]
-
 
 @dataclass
 class _State:
